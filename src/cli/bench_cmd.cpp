@@ -15,11 +15,12 @@
 #include <tuple>
 #include <vector>
 
-#include "bench/bench_util.hpp"
 #include "cli/commands.hpp"
 #include "cli/json.hpp"
 #include "cli/options.hpp"
 #include "fleet/fleet.hpp"
+#include "isa/assembler.hpp"
+#include "machine/machine.hpp"
 #include "perf/models.hpp"
 #include "sim/scenario.hpp"
 
@@ -292,11 +293,64 @@ bool EmitFig4(const BenchConfig& cfg, Measurer& m) {
 // state transfer, vs memory size (zero-run elision makes idle RAM nearly
 // free), vs workload dirty rate (disk DMA forces delta rounds), and over an
 // ideal vs a 5% lossy wire.
+//
+// One case = one replicated run with a healthy-chain rejoin at 8 ms: the
+// standing backup streams the snapshot while the chain keeps serving.
+struct ResyncCase {
+  const char* group;  // "size" or "dirty".
+  const char* workload;
+  uint32_t ram_mb = 4;
+  double loss = 0.0;
+  WorkloadSpec spec;
+};
+
+std::vector<ResyncCase> ResyncBenchCases(bool quick) {
+  WorkloadSpec cpu = WorkloadSpec::PaperCpu();
+  cpu.iterations = 12000;  // ~80 ms: outlives the transfer.
+  WorkloadSpec write_spec = WorkloadSpec::PaperDiskWrite(6);
+  WorkloadSpec read_spec = WorkloadSpec::PaperDiskRead(6);
+
+  std::vector<ResyncCase> cases;
+  const uint32_t sizes[] = {4, 8, 16};
+  for (uint32_t ram_mb : sizes) {
+    cases.push_back(ResyncCase{"size", "cpu", ram_mb, 0.0, cpu});
+    if (quick) {
+      break;  // One size row keeps the smoke-test shape without the sweep.
+    }
+  }
+  struct Dirty {
+    const char* name;
+    const WorkloadSpec* spec;
+  };
+  const Dirty dirty[] = {{"cpu", &cpu}, {"diskwrite", &write_spec}, {"diskread", &read_spec}};
+  for (const Dirty& d : dirty) {
+    for (double loss : {0.0, 0.05}) {
+      cases.push_back(ResyncCase{"dirty", d.name, 4, loss, *d.spec});
+      if (quick && loss > 0.0) {
+        break;
+      }
+    }
+    if (quick && d.spec == &write_spec) {
+      break;  // Quick: cpu (both links) + diskwrite (ideal only).
+    }
+  }
+  return cases;
+}
+
+ScenarioResult RunResyncCase(const ResyncCase& c) {
+  Scenario scenario = Scenario::Replicated(c.spec)
+                          .Epoch(4096)
+                          .RamBytes(c.ram_mb * 1024u * 1024u)
+                          .RejoinAtTime(SimTime::Millis(8));
+  if (c.loss > 0.0) {
+    scenario.LinkFaults(LinkFaults::SymmetricLoss(c.loss));
+  }
+  return scenario.Run();
+}
+
 bool EmitFig5(const BenchConfig& cfg, int* failures) {
   std::printf("bench: fig5 (backup resync via live state transfer)\n");
   JsonValue rows = JsonValue::Array();
-  // The case sweep is shared with bench_fig5_resync (bench/bench_util.hpp)
-  // so this artifact and the printed table always measure the same runs.
   for (const ResyncCase& c : ResyncBenchCases(cfg.quick)) {
     ScenarioResult ft = RunResyncCase(c);
     const bool measured = ft.completed && ft.exited_flag == 1 && ft.resyncs.size() == 1 &&
@@ -336,6 +390,109 @@ bool EmitFig5(const BenchConfig& cfg, int* failures) {
 // deterministic and byte-diffed in CI; the host-clock fields (host_ms, mips,
 // wall_ms, speedup) vary by machine and are stripped before diffing
 // (tools/diff_bench.py), which instead enforces a speedup floor.
+//
+// The kernel mirrors the CPU workload's instruction mix (arithmetic, a
+// word-copy loop, leaf calls) on a bare machine with no embedder in the loop,
+// so the measurement isolates dispatch cost. `instructions` and `checksum`
+// witness that both engines did identical work.
+struct InterpThroughput {
+  uint64_t instructions = 0;
+  uint32_t checksum = 0;  // Guest-computed result (determinism witness).
+  double host_ms = 0.0;
+  double mips = 0.0;
+  TranslationCache::Stats tcache;
+};
+
+InterpThroughput MeasureInterpThroughput(InterpMode mode, uint32_t outer_iterations) {
+  char source[2048];
+  std::snprintf(source, sizeof(source), R"(
+    li r1, %u
+    li r2, 0x9E3779B9
+    li r3, 0x2000
+outer:
+    add r2, r2, r1
+    li r4, 16
+copy:
+    slli r5, r4, 2
+    add r6, r3, r5
+    sw r2, 0(r6)
+    lw r7, 0(r6)
+    add r2, r2, r7
+    addi r4, r4, -1
+    bnez r4, copy
+    call leaf
+    xor r2, r2, r9
+    addi r1, r1, -1
+    bnez r1, outer
+    sw r2, 0x1F00(zero)
+    halt
+leaf:
+    slli r9, r2, 3
+    xor r9, r9, r2
+    srli r10, r9, 5
+    add r9, r9, r10
+    ret
+)",
+                static_cast<unsigned>(outer_iterations));
+  auto assembled = Assemble(source);
+  if (!assembled.ok()) {
+    std::fprintf(stderr, "fig6 kernel failed to assemble: %s\n",
+                 assembled.error().ToString().c_str());
+    return {};
+  }
+  MachineConfig config;
+  config.trap_mode = TrapMode::kDirect;
+  config.interp = mode;
+  Machine machine(config);
+  machine.LoadImage(assembled.value());
+  machine.cpu().pc = 0;
+  // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
+  auto start = std::chrono::steady_clock::now();
+  MachineExit exit = machine.Run(UINT64_MAX);
+  // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
+  auto stop = std::chrono::steady_clock::now();
+  if (exit.kind != ExitKind::kHalt) {
+    std::fprintf(stderr, "fig6 kernel did not halt (exit kind %d)\n",
+                 static_cast<int>(exit.kind));
+    return {};
+  }
+  InterpThroughput result;
+  result.instructions = machine.cpu().instret;
+  result.checksum = machine.memory().Read32(0x1F00);
+  result.host_ms = std::chrono::duration<double, std::milli>(stop - start).count();
+  result.mips = result.host_ms > 0.0
+                    ? static_cast<double>(result.instructions) / (result.host_ms * 1e3)
+                    : 0.0;
+  result.tcache = machine.tcache_stats();
+  return result;
+}
+
+// End-to-end variant: the real CPU workload through the full bare scenario
+// (MiniOS, devices, event loop), timed on the host clock. Simulated results
+// (completion time, checksum) are dispatch-mode invariant; wall_ms is not.
+struct ScenarioThroughput {
+  bool ok = false;
+  double sim_ms = 0.0;          // Deterministic.
+  uint32_t guest_checksum = 0;  // Deterministic.
+  double wall_ms = 0.0;         // Host clock.
+};
+
+ScenarioThroughput MeasureScenarioThroughput(InterpMode mode, uint32_t iterations) {
+  WorkloadSpec spec = WorkloadSpec::PaperCpu();
+  spec.iterations = iterations;
+  // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
+  auto start = std::chrono::steady_clock::now();
+  ScenarioResult result = Scenario::Bare(spec).Interp(mode).Run();
+  // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
+  auto stop = std::chrono::steady_clock::now();
+  ScenarioThroughput out;
+  out.ok = result.completed && result.exited_flag == 1;
+  out.sim_ms = result.completion_time.seconds() * 1e3;
+  out.guest_checksum = result.guest_checksum;
+  out.wall_ms = std::chrono::duration<double, std::milli>(stop - start).count();
+  return out;
+}
+
 bool EmitFig6(const BenchConfig& cfg, int* failures) {
   std::printf("bench: fig6 (interpreter throughput, slow vs cached dispatch)\n");
   const uint32_t kernel_iters = cfg.quick ? 20000 : 200000;

@@ -376,8 +376,7 @@ namespace {
 // Shared scenario shaping for the knobs that must match between a replicated
 // run and its bare reference (devices, fault plans, injected input).
 void ApplyEnvironment(const ScenarioFlags& flags, Scenario* scenario) {
-  scenario->Interp(flags.interp)
-      .DiskFaults(flags.disk_faults)
+  scenario->DiskFaults(flags.disk_faults)
       .ConsoleFaults(flags.console_faults)
       .NicFaults(flags.nic_faults);
   if (flags.workload.kind == WorkloadKind::kNetEcho) {
@@ -540,19 +539,6 @@ bool ParseScenarioFlags(FlagSet& flags, ScenarioFlags* out) {
       return false;
     }
     out->ack_batch = static_cast<uint32_t>(*v);
-  }
-
-  std::string interp_name = flags.GetString("interp", "");
-  if (!interp_name.empty()) {
-    if (interp_name == "slow") {
-      out->interp = InterpMode::kSlow;
-    } else if (interp_name == "cached") {
-      out->interp = InterpMode::kCached;
-    } else {
-      std::fprintf(stderr, "hbft_cli: unknown --interp '%s' (slow, cached)\n",
-                   interp_name.c_str());
-      return false;
-    }
   }
 
   if (auto v = flags.GetU64("packets")) {

@@ -94,11 +94,6 @@ struct ScenarioFlags {
   // net-echo: packets injected into the run (0 = workload iterations).
   uint64_t packets = 0;
 
-  // Interpreter selection (--interp=slow|cached); results are dispatch-mode
-  // invariant, so this only changes host-side speed. Defaults to the
-  // HBFT_INTERP environment override or the slow path.
-  InterpMode interp = DefaultInterpMode();
-
   // Builders carrying every parsed knob.
   Scenario Replicated() const;
   Scenario Bare() const;

@@ -203,6 +203,7 @@ GuestEvent Hypervisor::RunGuest(SimTime until) {
   while (true) {
     if (epoch_end_pending_) {
       epoch_end_pending_ = false;
+      ++stats_.epochs_completed;
       event.kind = GuestEvent::Kind::kEpochEnd;
       return event;
     }
@@ -218,6 +219,7 @@ GuestEvent Hypervisor::RunGuest(SimTime until) {
       case ExitKind::kLimit:
         break;  // Loop re-checks the horizon.
       case ExitKind::kRecovery:
+        ++stats_.epochs_completed;
         event.kind = GuestEvent::Kind::kEpochEnd;
         return event;
       case ExitKind::kHalt:

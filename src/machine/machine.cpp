@@ -1,8 +1,6 @@
 #include "machine/machine.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/check.hpp"
@@ -18,17 +16,6 @@ namespace {
 bool IsEnvironmentCr(uint32_t cr) { return cr == kCrTod || cr == kCrItmr || cr == kCrPrid; }
 
 }  // namespace
-
-InterpMode DefaultInterpMode() {
-  static const InterpMode mode = [] {
-    const char* env = std::getenv("HBFT_INTERP");
-    if (env != nullptr && std::strcmp(env, "cached") == 0) {
-      return InterpMode::kCached;
-    }
-    return InterpMode::kSlow;
-  }();
-  return mode;
-}
 
 Machine::Machine(const MachineConfig& config)
     : config_(config),

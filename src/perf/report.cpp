@@ -54,8 +54,6 @@ std::string TableReporter::Render() const {
   return out.str();
 }
 
-void TableReporter::Print() const { std::fputs(Render().c_str(), stdout); }
-
 std::string RenderTransportTable(const std::vector<ChannelCounterRow>& rows) {
   TableReporter table({"channel", "msgs", "wire_sends", "retx", "drops", "dups", "reord",
                        "q_drop", "q_hwm", "rx_disc", "bytes_wire", "goodput_mbps"});

@@ -197,11 +197,6 @@ Scenario& Scenario::Interp(InterpMode mode) {
   return *this;
 }
 
-Scenario& Scenario::TcacheSlots(uint32_t slots) {
-  machine_.tcache_slots = slots;
-  return *this;
-}
-
 Scenario& Scenario::Seed(uint64_t seed) {
   seed_ = seed;
   return *this;

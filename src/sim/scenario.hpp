@@ -154,11 +154,10 @@ class Scenario {
   Scenario& Hardware(const MachineConfig& machine);  // Folded machine knobs.
   Scenario& RamBytes(uint32_t ram_bytes);
   Scenario& Tlb(uint32_t entries, TlbPolicy policy);
-  // Interpreter selection (slow fetch-decode vs cached superblocks) and the
-  // translation-cache slot count. Dispatch mode never changes results — only
-  // host speed — so every scenario accepts either.
+  // Interpreter selection: cached superblocks (the default) or the slow
+  // fetch-decode reference. Dispatch mode never changes results — only host
+  // speed — so every scenario accepts either.
   Scenario& Interp(InterpMode mode);
-  Scenario& TcacheSlots(uint32_t slots);
   Scenario& Seed(uint64_t seed);
   Scenario& DiskBlocks(uint32_t blocks);
   Scenario& MaxTime(SimTime max_time);

@@ -7,6 +7,7 @@
 #include "devices/disk.hpp"
 #include "hypervisor/hypervisor.hpp"
 #include "isa/assembler.hpp"
+#include "sim/scenario.hpp"
 
 namespace hbft {
 namespace {
@@ -114,6 +115,21 @@ loop:
   event = h.hv->RunGuest(SimTime::Seconds(10));
   EXPECT_EQ(event.kind, GuestEvent::Kind::kEpochEnd);
   EXPECT_EQ(h.hv->machine().cpu().instret, 1000u);
+  EXPECT_EQ(h.hv->stats().epochs_completed, 2u);
+}
+
+// Every boundary a replica's hypervisor ends is one the protocol runs (and,
+// with the lockstep audit on, fingerprints), on the primary and the backup.
+TEST(Hypervisor, EpochsCompletedCountsEveryReplicatedBoundary) {
+  WorkloadSpec spec = WorkloadSpec::PaperCpu();
+  spec.iterations = 2000;
+  ScenarioResult r = Scenario::Replicated(spec).Epoch(1024).AuditLockstep().Run();
+  ASSERT_TRUE(r.completed);
+  ASSERT_EQ(r.exited_flag, 1u);
+  ASSERT_GT(r.primary_boundary_fingerprints().size(), 0u);
+  EXPECT_EQ(r.primary_hv_stats().epochs_completed, r.primary_boundary_fingerprints().size());
+  EXPECT_EQ(r.backup_hv_stats().epochs_completed, r.backup_boundary_fingerprints().size());
+  EXPECT_EQ(r.primary_hv_stats().epochs_completed, r.primary_stats().epochs);
 }
 
 TEST(Hypervisor, SimulatedInstructionsCountTowardEpochs) {

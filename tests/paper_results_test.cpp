@@ -4,6 +4,8 @@
 // down to keep the suite fast; shape, not absolute time, is asserted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "guest/workloads.hpp"
 #include "sim/scenario.hpp"
 
@@ -91,6 +93,45 @@ TEST(PaperShape, HypervisorAloneCostsLessThanReplication) {
   double np_long = Np(spec, bare, 262144, ProtocolVariant::kRevised);
   EXPECT_LT(np_long, 1.6);
   EXPECT_GT(np_long, 1.0);
+}
+
+// Section 3.2's TLB discovery. With nondeterministic ("hardware random") TLB
+// replacement and guest-handled misses, the replicas miss at different
+// instruction-stream points and lockstep breaks; the hypervisor taking over
+// TLB fills (the paper's fix) hides misses from the guest and restores it. A
+// deterministic replacement policy holds lockstep either way.
+TEST(PaperShape, TlbTakeoverRestoresLockstepUnderRandomReplacement) {
+  WorkloadSpec spec;
+  spec.kind = WorkloadKind::kHeap;  // Touches many pages: maximal TLB traffic.
+  spec.iterations = 48;
+  struct Case {
+    TlbPolicy policy;
+    bool takeover;
+    bool lockstep;
+  };
+  for (const Case& c : {Case{TlbPolicy::kHardwareRandom, false, false},
+                        Case{TlbPolicy::kHardwareRandom, true, true},
+                        Case{TlbPolicy::kRoundRobin, false, true},
+                        Case{TlbPolicy::kRoundRobin, true, true}}) {
+    ScenarioResult ft = Scenario::Replicated(spec)
+                            .Epoch(1024)
+                            .TlbTakeover(c.takeover)
+                            .AuditLockstep()
+                            .Tlb(16, c.policy)  // Small TLB: pressure + evictions.
+                            .MaxTime(SimTime::Seconds(30))
+                            .Run();
+    const size_t compared = std::min(ft.primary_boundary_fingerprints().size(),
+                                     ft.backup_boundary_fingerprints().size());
+    const size_t prefix = MatchingBoundaryPrefix(ft);
+    const bool lockstep = compared > 0 && prefix == compared;
+    EXPECT_EQ(lockstep, c.lockstep)
+        << (c.policy == TlbPolicy::kHardwareRandom ? "hardware-random" : "round-robin")
+        << " takeover=" << c.takeover << ": " << prefix << " of " << compared
+        << " boundaries match";
+    if (c.lockstep) {
+      EXPECT_TRUE(ft.completed && ft.exited_flag == 1);
+    }
+  }
 }
 
 }  // namespace
