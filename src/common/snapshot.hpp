@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace hbft {
@@ -54,10 +55,15 @@ class SnapshotWriter {
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
 
+  // Room for `len` more bytes, so a field written in pieces grows the
+  // snapshot once.
+  void Reserve(size_t len) { out_->reserve(out_->size() + len); }
+  // Raw bytes of a length both sides already know (no prefix).
+  void Bytes(const uint8_t* data, size_t len) { out_->insert(out_->end(), data, data + len); }
   // Length-prefixed byte string (u32 length + raw bytes).
   void Blob(const uint8_t* data, size_t len) {
     U32(static_cast<uint32_t>(len));
-    out_->insert(out_->end(), data, data + len);
+    Bytes(data, len);
   }
   void Blob(const std::vector<uint8_t>& data) { Blob(data.data(), data.size()); }
 
@@ -116,6 +122,15 @@ class SnapshotReader {
       return false;
     }
     *v = raw != 0;
+    return true;
+  }
+  // Raw bytes of a length both sides already know (the writer's Bytes).
+  bool Bytes(uint8_t* out, size_t len) {
+    if (len > bytes_.size() - pos_) {
+      return false;
+    }
+    std::memcpy(out, bytes_.data() + pos_, len);
+    pos_ += len;
     return true;
   }
   bool Blob(std::vector<uint8_t>* out) {

@@ -648,11 +648,8 @@ void BackupNode::ApplyStateChunk(const Message& msg, SimTime now) {
     case StateChunkKind::kZeroRun: {
       HBFT_CHECK(msg.state_page_count > 0 &&
                  msg.state_page + msg.state_page_count <= memory.PageCount());
-      static const std::vector<uint8_t> kZeroPage(kPageBytes, 0);
-      for (uint32_t i = 0; i < msg.state_page_count; ++i) {
-        // Later deltas may re-zero a page sent earlier: write, don't assume.
-        memory.WriteBlock((msg.state_page + i) * kPageBytes, kZeroPage.data(), kPageBytes);
-      }
+      // Later deltas may re-zero a page sent earlier: zero, don't assume.
+      memory.ZeroPages(msg.state_page, msg.state_page_count);
       break;
     }
     case StateChunkKind::kControl: {

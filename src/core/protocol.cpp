@@ -280,22 +280,29 @@ void ReplicaNodeBase::PumpStateTransfer() {
   if (!transfer_active_ || dead_ || halted_) {
     return;
   }
+  // The guest does not run inside this loop, so a page found non-zero while
+  // ending one chunk's zero run is still non-zero when it heads the next.
+  bool head_nonzero = false;
   while (transfer_->HasPending() && UnackedDownstream() < transfer_->window()) {
-    SendNextStateChunk();
+    head_nonzero = SendNextStateChunk(head_nonzero);
   }
 }
 
-void ReplicaNodeBase::SendNextStateChunk() {
+bool ReplicaNodeBase::SendNextStateChunk(bool head_nonzero) {
   PhysicalMemory& memory = hv_.machine().memory();
   uint32_t page = transfer_->PopPage();
   Message msg;
   msg.type = MsgType::kStateChunk;
   msg.epoch = epoch_;
-  if (memory.PageIsZero(page)) {
+  bool next_nonzero = false;
+  if (!head_nonzero && memory.PageIsZero(page)) {
     // Coalesce the run of consecutive queued zero pages into one chunk.
     uint32_t count = 1;
-    while (transfer_->HasPending() && transfer_->PeekPage() == page + count &&
-           memory.PageIsZero(transfer_->PeekPage())) {
+    while (transfer_->HasPending() && transfer_->PeekPage() == page + count) {
+      if (!memory.PageIsZero(transfer_->PeekPage())) {
+        next_nonzero = true;
+        break;
+      }
       transfer_->PopPage();
       ++count;
     }
@@ -311,6 +318,7 @@ void ReplicaNodeBase::SendNextStateChunk() {
     transfer_->NotePageChunk(msg.WireSize());
   }
   SendDown(std::move(msg));
+  return next_nonzero;
 }
 
 void ReplicaNodeBase::AbortStateTransfer() {
@@ -354,8 +362,9 @@ void ReplicaNodeBase::TransferBoundaryHook() {
   // is exactly the machine at the start of epoch `epoch_`. FIFO order makes
   // every post-cut protocol message land on a fully-restored joiner.
   transfer_->EnqueueDelta(dirty);
+  bool head_nonzero = false;
   while (transfer_->HasPending()) {
-    SendNextStateChunk();
+    head_nonzero = SendNextStateChunk(head_nonzero);
   }
   Snapshot control;
   SnapshotWriter w(&control);

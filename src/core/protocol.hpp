@@ -387,7 +387,9 @@ class ReplicaNodeBase : public NodeActor {
   void BeginStateTransfer(SimTime t);
   // Sends chunks while the unacked window has room.
   void PumpStateTransfer();
-  void SendNextStateChunk();
+  // Sends the queue head (a zero run or one page). `head_nonzero` says the
+  // head is already known non-zero; returns whether the new head is.
+  bool SendNextStateChunk(bool head_nonzero);
   // Called at the end of every completed epoch boundary: runs the delta
   // round, and performs the quiesce + cut once the dirty rate converges.
   void TransferBoundaryHook();

@@ -416,14 +416,16 @@ GuestEvent Hypervisor::SimulatePrivileged(const MachineExit& exit) {
 
     case Opcode::kLwp: {
       uint32_t addr = rs1_value + static_cast<uint32_t>(instr.imm);
-      HBFT_CHECK(machine_.memory().Contains(addr, 4)) << "lwp out of range under hypervisor";
+      HBFT_CHECK(addr % 4 == 0 && machine_.memory().Contains(addr, 4))
+          << "lwp unaligned or out of range under hypervisor";
       cpu.set_gpr(instr.rd, machine_.memory().Read32(addr));
       RetireSimulatedInstr(exit.pc + 4);
       return none;
     }
     case Opcode::kSwp: {
       uint32_t addr = rs1_value + static_cast<uint32_t>(instr.imm);
-      HBFT_CHECK(machine_.memory().Contains(addr, 4)) << "swp out of range under hypervisor";
+      HBFT_CHECK(addr % 4 == 0 && machine_.memory().Contains(addr, 4))
+          << "swp unaligned or out of range under hypervisor";
       machine_.memory().Write32(addr, cpu.gpr[instr.rd]);
       RetireSimulatedInstr(exit.pc + 4);
       return none;

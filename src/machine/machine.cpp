@@ -896,15 +896,20 @@ Machine::BlockOutcome Machine::ExecuteBlock(const Superblock& block, uint64_t ma
   uint32_t trap_vaddr = 0;
 
 #if HBFT_THREADED_DISPATCH
-  static const void* jump_table[kMaxOpcode + 1];
-  if (jump_table[0] == nullptr) {
-    for (const void*& entry : jump_table) {
+  // Filled once inside the initialiser of a function-local static, which
+  // C++ makes thread-safe: fleet worker threads enter here concurrently.
+  // (A statement expression, because label addresses exist only in this
+  // function.)
+  static const void* const* const jump_table = ({
+    static const void* table[kMaxOpcode + 1];
+    for (const void*& entry : table) {
       entry = &&h_Invalid;
     }
-#define X(name, handler) jump_table[static_cast<uint8_t>(Opcode::name)] = &&h_##handler;
+#define X(name, handler) table[static_cast<uint8_t>(Opcode::name)] = &&h_##handler;
     HBFT_OPCODE_HANDLERS(X)
 #undef X
-  }
+    table;
+  });
 #define HBFT_DISPATCH() goto* jump_table[static_cast<uint8_t>(p->instr.op)]
 #else
 #define HBFT_DISPATCH_CASE(name, handler) \

@@ -1,6 +1,7 @@
 #include "machine/memory.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -8,31 +9,109 @@
 
 namespace hbft {
 
+namespace {
+
+constexpr uint64_t FnvPrimePower(uint32_t n) {
+  uint64_t power = 1;
+  for (uint32_t i = 0; i < n; ++i) {
+    power *= Fnv1aHasher::kPrime;
+  }
+  return power;
+}
+
+// FNV-1a over a zero byte is `h ^= 0; h *= prime`, a bare multiply, so a run
+// of n zero bytes multiplies the running hash by prime^n (mod 2^64).
+constexpr uint64_t kZeroWordFactor = FnvPrimePower(8);
+constexpr uint64_t kZeroPageFactor = FnvPrimePower(kPageBytes);
+
+uint64_t LoadWord(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
+// FNV-1a of (u32 page index, page bytes): the byte-wise hash, with each
+// all-zero 8-byte word folded into one multiply.
+uint64_t HashPage(uint32_t page, const uint8_t* frame) {
+  Fnv1aHasher hasher;
+  hasher.UpdateU32(page);
+  uint64_t hash = hasher.digest();
+  for (uint32_t offset = 0; offset < kPageBytes; offset += 8) {
+    if (LoadWord(frame + offset) == 0) {
+      hash *= kZeroWordFactor;
+      continue;
+    }
+    for (uint32_t i = 0; i < 8; ++i) {
+      hash ^= frame[offset + i];
+      hash *= Fnv1aHasher::kPrime;
+    }
+  }
+  return hash;
+}
+
+uint64_t HashZeroPage(uint32_t page) {
+  Fnv1aHasher hasher;
+  hasher.UpdateU32(page);
+  return hasher.digest() * kZeroPageFactor;
+}
+
+}  // namespace
+
 PhysicalMemory::PhysicalMemory(uint32_t bytes) {
   HBFT_CHECK_GT(bytes, 0u);
   HBFT_CHECK_EQ(bytes % kPageBytes, 0u);
-  bytes_.assign(bytes, 0);
   uint32_t pages = bytes / kPageBytes;
+  frames_.assign(pages, kZeroFrame);
   dirty_.assign(pages, 1);  // Every page starts "dirty" so first Fingerprint hashes all.
   versions_.assign(pages, 0);
   page_hashes_.assign(pages, 0);
 }
 
+PhysicalMemory::~PhysicalMemory() {
+  for (uint32_t page = 0; page < PageCount(); ++page) {
+    Release(page);
+  }
+}
+
+uint8_t* PhysicalMemory::Populate(uint32_t page) {
+  auto* frame = new uint8_t[kPageBytes]();
+  frames_[page] = frame;
+  return frame;
+}
+
+void PhysicalMemory::Release(uint32_t page) {
+  if (frames_[page] != kZeroFrame) {
+    delete[] frames_[page];
+    frames_[page] = kZeroFrame;
+  }
+}
+
+uint32_t PhysicalMemory::populated_pages() const {
+  return static_cast<uint32_t>(
+      std::count_if(frames_.begin(), frames_.end(),
+                    [](const uint8_t* frame) { return frame != kZeroFrame; }));
+}
+
 void PhysicalMemory::WriteBlock(uint32_t paddr, const uint8_t* data, uint32_t len) {
   HBFT_CHECK(Contains(paddr, len)) << "WriteBlock out of range paddr=" << paddr << " len=" << len;
-  std::memcpy(bytes_.data() + paddr, data, len);
-  for (uint32_t page = paddr >> kPageShift; page <= ((paddr + len - 1) >> kPageShift); ++page) {
-    dirty_[page] = 1;
-    ++versions_[page];
-    if (transfer_tracking_) {
-      transfer_dirty_[page] = 1;
-    }
+  while (len > 0) {
+    uint32_t chunk = std::min(len, kPageBytes - (paddr & kOffsetMask));
+    std::memcpy(WritableAt(paddr), data, chunk);
+    paddr += chunk;
+    data += chunk;
+    len -= chunk;
   }
 }
 
 void PhysicalMemory::ReadBlock(uint32_t paddr, uint8_t* out, uint32_t len) const {
   HBFT_CHECK(Contains(paddr, len)) << "ReadBlock out of range paddr=" << paddr << " len=" << len;
-  std::memcpy(out, bytes_.data() + paddr, len);
+  while (len > 0) {
+    uint32_t chunk = std::min(len, kPageBytes - (paddr & kOffsetMask));
+    std::memcpy(out, FrameOf(paddr) + (paddr & kOffsetMask), chunk);
+    paddr += chunk;
+    out += chunk;
+    len -= chunk;
+  }
 }
 
 uint64_t PhysicalMemory::Fingerprint() {
@@ -41,10 +120,8 @@ uint64_t PhysicalMemory::Fingerprint() {
       continue;
     }
     dirty_[page] = 0;
-    Fnv1aHasher hasher;
-    hasher.UpdateU32(page);
-    hasher.Update(bytes_.data() + static_cast<size_t>(page) * kPageBytes, kPageBytes);
-    uint64_t fresh = hasher.digest();
+    uint64_t fresh =
+        frames_[page] == kZeroFrame ? HashZeroPage(page) : HashPage(page, frames_[page]);
     combined_ ^= page_hashes_[page];
     combined_ ^= fresh;
     page_hashes_[page] = fresh;
@@ -52,24 +129,37 @@ uint64_t PhysicalMemory::Fingerprint() {
   return combined_;
 }
 
+bool PhysicalMemory::AllZero(const uint8_t* frame) {
+  return std::memcmp(frame, kZeroFrame, kPageBytes) == 0;
+}
+
 bool PhysicalMemory::PageIsZero(uint32_t page) const {
-  const uint8_t* begin = bytes_.data() + static_cast<size_t>(page) * kPageBytes;
-  for (uint32_t i = 0; i < kPageBytes; ++i) {
-    if (begin[i] != 0) {
-      return false;
-    }
-  }
-  return true;
+  return frames_[page] == kZeroFrame || AllZero(frames_[page]);
 }
 
 void PhysicalMemory::Fill(uint8_t value) {
-  std::memset(bytes_.data(), value, bytes_.size());
+  for (uint32_t page = 0; page < PageCount(); ++page) {
+    if (value == 0) {
+      Release(page);
+    } else {
+      std::memset(PrivateFrame(page), value, kPageBytes);
+    }
+  }
   std::fill(dirty_.begin(), dirty_.end(), 1);
   for (uint32_t& version : versions_) {
     ++version;
   }
   if (transfer_tracking_) {
     std::fill(transfer_dirty_.begin(), transfer_dirty_.end(), 1);
+  }
+}
+
+void PhysicalMemory::ZeroPages(uint32_t first, uint32_t count) {
+  HBFT_CHECK(first <= PageCount() && count <= PageCount() - first)
+      << "ZeroPages out of range first=" << first << " count=" << count;
+  for (uint32_t page = first; page < first + count; ++page) {
+    Release(page);
+    MarkDirty(page);
   }
 }
 
@@ -96,21 +186,35 @@ std::vector<uint32_t> PhysicalMemory::TakeTransferDirtyPages() {
 }
 
 void PhysicalMemory::CaptureState(SnapshotWriter& w) const {
-  w.Blob(bytes_.data(), bytes_.size());
+  w.Reserve(sizeof(uint32_t) + size());  // One allocation, as for a single Blob.
+  w.U32(size());
+  for (const uint8_t* frame : frames_) {
+    w.Bytes(frame, kPageBytes);
+  }
 }
 
 bool PhysicalMemory::RestoreState(SnapshotReader& r) {
-  std::vector<uint8_t> incoming;
-  if (!r.Blob(&incoming) || incoming.size() != bytes_.size()) {
+  uint32_t image_size = 0;
+  if (!r.U32(&image_size) || image_size != size()) {
     return false;
   }
-  bytes_ = std::move(incoming);
   std::fill(dirty_.begin(), dirty_.end(), 1);  // Re-hash everything lazily.
   for (uint32_t& version : versions_) {
-    ++version;  // Every page may have changed; stale superblocks must rebuild.
+    ++version;  // Every page may change; stale superblocks must rebuild.
   }
   if (transfer_tracking_) {
     std::fill(transfer_dirty_.begin(), transfer_dirty_.end(), 1);
+  }
+  std::array<uint8_t, kPageBytes> incoming;
+  for (uint32_t page = 0; page < PageCount(); ++page) {
+    if (!r.Bytes(incoming.data(), kPageBytes)) {
+      return false;
+    }
+    if (AllZero(incoming.data())) {
+      Release(page);
+    } else {
+      std::memcpy(PrivateFrame(page), incoming.data(), kPageBytes);
+    }
   }
   return true;
 }

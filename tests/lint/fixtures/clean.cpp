@@ -1,5 +1,6 @@
 // Fixture: an entirely clean file — ordered containers, seeded randomness
-// threaded in from outside, symmetric codec, complete snapshot.
+// threaded in from outside, symmetric codec, complete snapshot, and deleted
+// copy operations (an operator declaration is not a data member).
 #include <cstdint>
 #include <map>
 
@@ -10,6 +11,10 @@ class SnapshotReader;
 
 class Ledger {
  public:
+  Ledger() = default;
+  Ledger(const Ledger&) = delete;
+  Ledger& operator=(const Ledger&) = delete;
+
   void Record(uint64_t key, uint64_t value) { entries_[key] = value; }
 
   void CaptureState(SnapshotWriter& w) const {

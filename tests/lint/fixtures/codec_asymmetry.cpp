@@ -1,6 +1,7 @@
-// Fixture: codec-symmetry rule. Two broken pairs: a width mismatch (writes
-// U64 where the reader expects U32) and a count mismatch (a trailing field
-// the reader never consumes).
+// Fixture: codec-symmetry rule. Three broken pairs: a width mismatch (writes
+// U64 where the reader expects U32), a count mismatch (a trailing field the
+// reader never consumes), and a raw image (u32 length + raw bytes) read back
+// as one length-prefixed blob.
 #include <cstdint>
 
 namespace fixture {
@@ -35,6 +36,19 @@ class CountSkew {
  private:
   uint32_t kind_ = 0;
   uint32_t flags_ = 0;
+};
+
+class RawImage {
+ public:
+  void CaptureImage(SnapshotWriter& w) const {
+    w.U32(4);  // VIOLATION: codec-symmetry (reader takes one Blob)
+    w.Bytes(image_, 4);
+  }
+  bool RestoreImage(SnapshotReader& r) { return r.Blob(&restored_); }
+
+ private:
+  uint8_t image_[4] = {};
+  uint8_t restored_[4] = {};
 };
 
 }  // namespace fixture

@@ -8,6 +8,7 @@
 #include "guest/workloads.hpp"
 #include "sim/environment_observer.hpp"
 #include "sim/scenario.hpp"
+#include "sim/world.hpp"
 
 namespace hbft {
 namespace {
@@ -172,6 +173,37 @@ TEST(Rejoin, DeltaRoundsConvergeUnderDiskWrites) {
   EXPECT_GE(resync.rounds, 1u);
   EXPECT_EQ(resync.full_pages, 4u * 1024u * 1024u / kPageBytes);
   EXPECT_EQ(ft.TotalResyncBytes(), resync.bytes);
+}
+
+// A joiner zeroes its RAM and then applies zero runs by releasing frames, so
+// at the join it holds a private frame for exactly the pages that are
+// non-zero — the source's image at the cut — and not one per zero page.
+TEST(Rejoin, JoinerPopulatesOnlyTheNonZeroPages) {
+  std::unique_ptr<World> world = Scenario::Replicated(WorkloadSpec::PaperDiskWrite(24))
+                                     .FailAtPhase(FailPhase::kAfterSendTme, 2)
+                                     .RejoinAfterFail(SimTime::Millis(10))
+                                     .BuildWorld();
+  World* w = world.get();
+  uint32_t joiner_populated = 0;
+  uint32_t joiner_nonzero = 0;
+  uint32_t joins = 0;
+  w->set_on_resync_done([w, &joiner_populated, &joiner_nonzero, &joins](size_t index, SimTime) {
+    const PhysicalMemory& memory =
+        w->replica(w->resyncs()[index].joined)->hypervisor().machine().memory();
+    joiner_populated = memory.populated_pages();
+    joiner_nonzero = 0;
+    for (uint32_t page = 0; page < memory.PageCount(); ++page) {
+      joiner_nonzero += memory.PageIsZero(page) ? 0 : 1;
+    }
+    ++joins;
+  });
+  ScenarioResult result;
+  w->Run(&result);
+  ASSERT_TRUE(result.completed);
+  ASSERT_EQ(joins, 1u);
+  EXPECT_GT(joiner_nonzero, 0u);
+  EXPECT_EQ(joiner_populated, joiner_nonzero);
+  EXPECT_LT(joiner_populated, 64u);  // Of 1024 pages.
 }
 
 // A rejoin landing inside the window between a standing backup's death and

@@ -130,6 +130,38 @@ TEST(Snapshot, RestoreRejectsEveryTruncationAndTrailingBytes) {
   EXPECT_FALSE(r.AtEnd());  // Trailing garbage is visible and must be rejected.
 }
 
+// The memory image is a u32 size and then the raw pages, read page by page.
+// A size other than the live RAM's, or an image cut short anywhere (even
+// inside the last page), is refused with false and never aborts.
+TEST(Snapshot, MemoryRestoreRefusesWrongSizeAndTruncatedImages) {
+  PhysicalMemory source(4 * kPageBytes);
+  source.Write32(kPageBytes + 8, 0xFEEDF00D);
+  Snapshot image;
+  SnapshotWriter w(&image);
+  source.CaptureState(w);
+  ASSERT_EQ(image.size(), 4u + 4u * kPageBytes);
+
+  PhysicalMemory bigger(8 * kPageBytes);
+  SnapshotReader wrong_size(image);
+  EXPECT_FALSE(bigger.RestoreState(wrong_size));
+
+  for (size_t len : {size_t{0}, size_t{3}, size_t{4}, size_t{4 + kPageBytes},
+                     size_t{4 + 2 * kPageBytes + 100}, image.size() - 1}) {
+    std::vector<uint8_t> prefix(image.bytes.begin(),
+                                image.bytes.begin() + static_cast<ptrdiff_t>(len));
+    SnapshotReader r(prefix);
+    PhysicalMemory target(4 * kPageBytes);
+    EXPECT_FALSE(target.RestoreState(r)) << "accepted a " << len << "-byte prefix";
+  }
+
+  PhysicalMemory target(4 * kPageBytes);
+  SnapshotReader whole(image);
+  ASSERT_TRUE(target.RestoreState(whole));
+  EXPECT_TRUE(whole.AtEnd());
+  EXPECT_EQ(target.Read32(kPageBytes + 8), 0xFEEDF00Du);
+  EXPECT_EQ(target.populated_pages(), 1u);  // Zero pages share the zero frame.
+}
+
 TEST(Snapshot, RestoreRejectsNonCanonicalFlagBytes) {
   auto machine = BusyMachine();
   Snapshot snap;

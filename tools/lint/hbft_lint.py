@@ -498,6 +498,8 @@ def parse_members(code, body_start, body_end, cls, path, nested_into=None):
         if not text:
             return
         masked = mask_angle_spans(text)
+        if re.search(r"\boperator\b", masked):
+            return  # Operator declaration, e.g. `T& operator=(const T&) = delete;`.
         # Anything with a parameter list is a function; a trailing {} span
         # right after the declarator is a brace initializer, which is fine.
         paren = masked.find("(")
@@ -633,7 +635,7 @@ WIDTH_OPS = {
     "U32": "32", "GetU32": "32", "PutU32": "32",
     "U64": "64", "I64": "64", "GetU64": "64", "PutU64": "64",
     "GetI64": "64", "PutI64": "64",
-    "Blob": "blob",
+    "Blob": "blob", "Bytes": "bytes",
     "GetBytes": "bytes", "PutBytes": "bytes", "insert": "bytes", "assign": "bytes",
     "WriteSnapshotHeader": "header", "ReadSnapshotHeader": "header",
 }
