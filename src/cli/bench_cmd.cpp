@@ -4,6 +4,8 @@
 //
 // --quick shrinks the workloads and epoch-length sweep so the artifact shape
 // stays identical while the whole run fits in a smoke test.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -614,15 +616,29 @@ bool EmitFig7(const BenchConfig& cfg, int* failures) {
   return WriteBenchDoc(cfg, "fig7_fleet", "fig7_fleet.json", std::move(rows));
 }
 
+// User + system CPU time of this process, all threads.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 // Fig 8 (this reproduction's extension) — parallel fleet rounds: the fig7
 // storm scenario at increasing --threads, proving the headline guarantee
 // (bit-identical fingerprints at every thread count — the emitter fails the
 // bench if they diverge) and recording the wall-clock scaling. The
 // deterministic fields (availability, fingerprint, request counts) are
-// byte-diffed in CI; wall_ms / speedup / host_cpus are host-dependent and
-// stripped by tools/diff_bench.py, which instead enforces the speedup floor
-// (>= 2x at 4 threads on the large row) whenever the regenerating machine
-// actually has >= 4 CPUs (host_cpus says so).
+// byte-diffed in CI; wall_ms / speedup / parallelism / host_cpus are
+// host-dependent and stripped by tools/diff_bench.py, which instead enforces
+// the speedup floor (>= 2x at 4 threads on the large row) whenever the
+// regenerating machine actually has >= 4 CPUs (host_cpus says so).
+// parallelism is the run's process CPU time over its wall time: well under
+// `threads` means the workers waited, for the barrier or for a CPU that
+// other load on the host held, which tells a contended host apart from a
+// slower fleet.
 bool EmitFig8(const BenchConfig& cfg, int* failures) {
   std::printf("bench: fig8 (parallel fleet rounds, wall-clock scaling)\n");
   struct FleetCase {
@@ -652,12 +668,14 @@ bool EmitFig8(const BenchConfig& cfg, int* failures) {
       }
       fc.verify = false;
       fc.threads = threads;
+      const double cpu0_s = ProcessCpuSeconds();
       // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
       auto t0 = std::chrono::steady_clock::now();
       FleetResult r = Fleet(fc).Run();
       double wall_ms =
           // hbft-lint: allow(wall-clock) — host-side bench timing, never feeds the simulation.
           std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+      const double cpu_s = ProcessCpuSeconds() - cpu0_s;
       if (r.chains_lost != 0 || r.chains_completed != fleet_case.chains) {
         std::fprintf(stderr, "hbft_cli: bench fig8 measurement failed (%s, threads=%zu)\n",
                      fleet_case.name, threads);
@@ -692,6 +710,7 @@ bool EmitFig8(const BenchConfig& cfg, int* failures) {
                     .Set("fingerprint", r.fingerprint)
                     .Set("wall_ms", wall_ms)
                     .Set("speedup", wall_ms > 0.0 ? serial_wall_ms / wall_ms : 1.0)
+                    .Set("parallelism", wall_ms > 0.0 ? cpu_s * 1000.0 / wall_ms : 0.0)
                     .Set("host_cpus", host_cpus));
     }
   }

@@ -203,14 +203,13 @@ Machine::Translation Machine::Translate(uint32_t vaddr, Access access) {
       result.cause = TrapCause::kProtectionFault;
       return result;
     }
-    result.ok = true;
-    result.paddr = paddr;
-    return result;
-  }
-  if (!memory_.Contains(paddr, 1)) {
+  } else if (!memory_.Contains(paddr, 1)) {
     result.cause = TrapCause::kProtectionFault;
     return result;
   }
+  memo_[static_cast<size_t>(access)] =
+      TranslationMemo{tlb_.generation(), vaddr >> kPageShift,
+                      cpu_.cr[kCrStatus] & kMemoStatusBits, paddr & ~(kPageBytes - 1)};
   result.ok = true;
   result.paddr = paddr;
   return result;
@@ -813,25 +812,28 @@ MachineExit Machine::RunCached(uint64_t max_instructions) {
       }
       continue;
     }
-    Translation fetch = Translate(pc, Access::kFetch);
-    if (!fetch.ok) {
-      if (!DeliverTrap(fetch.cause, pc, pc, nullptr, &exit, &executed)) {
-        exit.executed = executed;
-        return exit;
+    uint32_t paddr;
+    if (!MemoTranslate(pc, Access::kFetch, &paddr)) {
+      Translation fetch = Translate(pc, Access::kFetch);
+      if (!fetch.ok) {
+        if (!DeliverTrap(fetch.cause, pc, pc, nullptr, &exit, &executed)) {
+          exit.executed = executed;
+          return exit;
+        }
+        continue;
       }
-      continue;
+      paddr = fetch.paddr;
     }
 
-    Superblock* block =
-        tcache_.Find(pc, fetch.paddr, memory_.PageVersion(fetch.paddr >> kPageShift));
+    Superblock* block = tcache_.Find(pc, paddr, memory_.PageVersion(paddr >> kPageShift));
     if (block == nullptr) {
-      block = tcache_.Claim(pc, fetch.paddr);
-      BuildSuperblock(memory_, pc, fetch.paddr, idle_configured_, idle_begin_, idle_end_, block);
+      block = tcache_.Claim(pc, paddr);
+      BuildSuperblock(memory_, pc, paddr, idle_configured_, idle_begin_, idle_end_, block);
       if (!block->valid) {
         // The entry word itself is undecodable: mirror the slow path (trace
         // the raw word, then take the illegal-instruction trap).
         if (!trace_ring_.empty()) {
-          RecordTrace(pc, memory_.Read32(fetch.paddr));
+          RecordTrace(pc, memory_.Read32(paddr));
         }
         if (!DeliverTrap(TrapCause::kIllegalInstruction, pc, 0, nullptr, &exit, &executed)) {
           exit.executed = executed;
@@ -1059,13 +1061,16 @@ h_Mem: {
       paddr = vaddr;
     }
   } else {
-    Translation tr = Translate(vaddr, p->mem_store ? Access::kStore : Access::kLoad);
-    if (!tr.ok) {
-      trap_cause = tr.cause;
-      trap_vaddr = vaddr;
-      goto trap;
+    const Access access = p->mem_store ? Access::kStore : Access::kLoad;
+    if (!MemoTranslate(vaddr, access, &paddr)) {
+      Translation tr = Translate(vaddr, access);
+      if (!tr.ok) {
+        trap_cause = tr.cause;
+        trap_vaddr = vaddr;
+        goto trap;
+      }
+      paddr = tr.paddr;
     }
-    paddr = tr.paddr;
   }
   if (IsMmioAddress(paddr)) {
     // kDirect at privilege 0 reaches here; kHostFirst never does (privilege

@@ -23,6 +23,7 @@
 #ifndef HBFT_MACHINE_MACHINE_HPP_
 #define HBFT_MACHINE_MACHINE_HPP_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,7 +63,7 @@ struct MachineConfig {
   uint64_t machine_seed = 0;  // Seeds per-machine hardware nondeterminism.
   TrapMode trap_mode = TrapMode::kDirect;
   InterpMode interp = InterpMode::kCached;
-  uint32_t tcache_slots = 2048;  // Superblock slots (rounded up to a power of 2).
+  uint32_t tcache_slots = 2048;  // Bound on cached superblocks (rounded up to a power of 2).
 };
 
 enum class ExitKind {
@@ -173,7 +174,37 @@ class Machine {
   };
   enum class Access { kFetch, kLoad, kStore };
 
+  // The full translation: TLB lookup, protection and MMIO checks. A success
+  // refills the access kind's memo.
   Translation Translate(uint32_t vaddr, Access access);
+
+  // One memoised successful translation per access kind. It answers for the
+  // same page while the STATUS privilege and VM-enable bits and the TLB
+  // generation are those of the fill: nothing else feeds Translate.
+  struct TranslationMemo {
+    uint64_t generation = 0;  // Tlb::generation() at the fill; 0 never matches.
+    uint32_t vpn = 0;
+    uint32_t status = 0;      // STATUS & kMemoStatusBits at the fill.
+    uint32_t frame = 0;       // Physical page base.
+  };
+  static constexpr uint32_t kMemoStatusBits = StatusBits::kPrivMask | StatusBits::kVmEn;
+
+  // Translates `vaddr` from the memo when it holds the page, crediting the
+  // TLB lookup the full translation would have counted; false otherwise (the
+  // caller then runs Translate).
+  bool MemoTranslate(uint32_t vaddr, Access access, uint32_t* paddr) {
+    const TranslationMemo& memo = memo_[static_cast<size_t>(access)];
+    const uint32_t status = cpu_.cr[kCrStatus] & kMemoStatusBits;
+    if (memo.generation != tlb_.generation() || memo.vpn != (vaddr >> kPageShift) ||
+        memo.status != status) {
+      return false;
+    }
+    if ((status & StatusBits::kVmEn) != 0) {
+      tlb_.CreditLookups(1);
+    }
+    *paddr = memo.frame | (vaddr & (kPageBytes - 1));
+    return true;
+  }
   // Returns true when the trap was delivered in-machine (kDirect); false when
   // the caller must exit to host (kHostFirst). kDirect delivery increments
   // *executed so trap storms cannot outlive the budget.
@@ -209,6 +240,8 @@ class Machine {
   PhysicalMemory memory_;
   Tlb tlb_;
   TranslationCache tcache_;
+  // hbft-lint: derived-state — keyed by the TLB generation; refilled by Translate.
+  std::array<TranslationMemo, 3> memo_{};
   int64_t rctr_ = -1;
   bool rctr_enabled_ = false;
 

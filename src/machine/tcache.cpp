@@ -1,5 +1,7 @@
 #include "machine/tcache.hpp"
 
+#include <bit>
+
 namespace hbft {
 
 namespace {
@@ -12,52 +14,109 @@ uint32_t RoundUpPow2(uint32_t v) {
   return p;
 }
 
+constexpr size_t kInitialIndexSize = 16;
+
 }  // namespace
 
-TranslationCache::TranslationCache(uint32_t slots) {
-  slots_.resize(RoundUpPow2(slots == 0 ? 1 : slots));
+TranslationCache::TranslationCache(uint32_t max_blocks)
+    : max_blocks_(RoundUpPow2(max_blocks == 0 ? 1 : max_blocks)) {
+  Rehash(kInitialIndexSize);
 }
 
-size_t TranslationCache::SlotIndex(uint32_t vaddr, uint32_t paddr) const {
-  // Entry addresses are word-aligned; drop the zero bits before mixing.
-  uint32_t h = ((vaddr >> 2) * 2654435761u) ^ (paddr >> 2);
-  return h & (slots_.size() - 1);
+size_t TranslationCache::Home(uint32_t vaddr, uint32_t paddr) const {
+  // Fibonacci hashing of the whole 64-bit key: the top bits of the product
+  // depend on every key bit, unlike the low bits of a 32-bit product.
+  const uint64_t key = (uint64_t{vaddr} << 32) | paddr;
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> index_shift_);
+}
+
+size_t TranslationCache::Probe(uint32_t vaddr, uint32_t paddr) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t pos = Home(vaddr, paddr);; pos = (pos + 1) & mask) {
+    const uint32_t entry = index_[pos];
+    if (entry == kEmpty ||
+        (blocks_[entry].entry_vaddr == vaddr && blocks_[entry].entry_paddr == paddr)) {
+      return pos;
+    }
+  }
+}
+
+void TranslationCache::Unlink(size_t pos) {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole when their home position allows it, so no tombstones accumulate.
+  const size_t mask = index_.size() - 1;
+  size_t hole = pos;
+  for (size_t next = (hole + 1) & mask; index_[next] != kEmpty; next = (next + 1) & mask) {
+    const Superblock& block = blocks_[index_[next]];
+    const size_t home = Home(block.entry_vaddr, block.entry_paddr);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      index_[hole] = index_[next];
+      hole = next;
+    }
+  }
+  index_[hole] = kEmpty;
+}
+
+void TranslationCache::Rehash(size_t index_size) {
+  index_.assign(index_size, kEmpty);
+  index_shift_ = static_cast<uint32_t>(64 - std::countr_zero(index_size));
+  for (uint32_t i = 0; i < blocks_.size(); ++i) {
+    index_[Probe(blocks_[i].entry_vaddr, blocks_[i].entry_paddr)] = i;
+  }
 }
 
 Superblock* TranslationCache::Find(uint32_t vaddr, uint32_t paddr, uint32_t page_version) {
-  Superblock& slot = slots_[SlotIndex(vaddr, paddr)];
-  if (!slot.valid || slot.entry_vaddr != vaddr || slot.entry_paddr != paddr) {
+  const uint32_t entry = index_[Probe(vaddr, paddr)];
+  if (entry == kEmpty || !blocks_[entry].valid) {
     ++stats_.misses;
     return nullptr;
   }
-  if (slot.version != page_version) {
+  Superblock& block = blocks_[entry];
+  if (block.version != page_version) {
     ++stats_.stale;
-    slot.valid = false;
+    block.valid = false;
     return nullptr;
   }
   ++stats_.hits;
-  return &slot;
+  return &block;
 }
 
 Superblock* TranslationCache::Claim(uint32_t vaddr, uint32_t paddr) {
-  Superblock& slot = slots_[SlotIndex(vaddr, paddr)];
-  if (slot.valid && (slot.entry_vaddr != vaddr || slot.entry_paddr != paddr)) {
-    ++stats_.evictions;
+  size_t pos = Probe(vaddr, paddr);
+  uint32_t entry = index_[pos];
+  if (entry == kEmpty) {
+    if (blocks_.size() < max_blocks_) {
+      entry = static_cast<uint32_t>(blocks_.size());
+      blocks_.emplace_back();
+    } else {
+      entry = next_victim_;
+      next_victim_ = (next_victim_ + 1) & (max_blocks_ - 1);
+      const Superblock& victim = blocks_[entry];
+      if (victim.valid) {
+        ++stats_.evictions;
+      }
+      Unlink(Probe(victim.entry_vaddr, victim.entry_paddr));
+      pos = Probe(vaddr, paddr);
+    }
+    Superblock& block = blocks_[entry];
+    block.entry_vaddr = vaddr;
+    block.entry_paddr = paddr;
+    index_[pos] = entry;
+    if (2 * blocks_.size() > index_.size()) {
+      Rehash(2 * index_.size());  // Keep the load factor at most 1/2.
+    }
   }
-  slot.valid = false;
-  slot.entry_vaddr = vaddr;
-  slot.entry_paddr = paddr;
-  slot.code.clear();
+  Superblock& block = blocks_[entry];
+  block.valid = false;
+  block.code.clear();
   ++stats_.builds;
-  return &slot;
+  return &block;
 }
 
 void TranslationCache::InvalidateAll() {
-  for (Superblock& slot : slots_) {
-    slot.valid = false;
-    slot.code.clear();
-    slot.code.shrink_to_fit();
-  }
+  std::deque<Superblock>().swap(blocks_);
+  next_victim_ = 0;
+  Rehash(kInitialIndexSize);
   ++stats_.flushes;
 }
 

@@ -9,12 +9,19 @@
 // rebuilds the block from current bytes, so self-modifying code executes
 // exactly as the fetch-every-instruction slow path would.
 //
+// The cache is an exact table: every key has its own entry, so blocks whose
+// addresses share low bits (kernel code at x and user code at 0x200000 + x
+// under the identity mapping) never displace each other. It holds only the
+// blocks actually built, up to a configured bound; past the bound it recycles
+// entries in the order they were first filled.
+//
 // The cache is pure derived state — rebuildable from memory at any time — so
 // it is never serialised; Machine invalidates it after a snapshot restore.
 #ifndef HBFT_MACHINE_TCACHE_HPP_
 #define HBFT_MACHINE_TCACHE_HPP_
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -46,9 +53,10 @@ struct Superblock {
   std::vector<PredecodedInstr> code;
 };
 
-// Direct-mapped block cache: a (vaddr, paddr) key always hashes to the same
-// slot, so a stale block is found — and its slot reclaimed — by the very
-// dispatch that would have executed it.
+// Open-addressing block table keyed by (entry vaddr, entry paddr). Blocks
+// live in a deque, so a Superblock* stays valid while the table grows; a
+// stale block is found by the very dispatch that would have executed it and
+// is rebuilt in its own entry.
 class TranslationCache {
  public:
   struct Stats {
@@ -60,27 +68,40 @@ class TranslationCache {
     uint64_t flushes = 0;      // InvalidateAll calls.
   };
 
-  // `slots` is rounded up to a power of two (minimum 1).
-  explicit TranslationCache(uint32_t slots);
+  // `max_blocks` is rounded up to a power of two (minimum 1).
+  explicit TranslationCache(uint32_t max_blocks);
 
   // The valid block for the key at `page_version`, or nullptr (miss or
   // stale; a stale block is invalidated so the caller rebuilds in place).
   Superblock* Find(uint32_t vaddr, uint32_t paddr, uint32_t page_version);
 
-  // The slot a rebuilt block for the key goes into, cleared and re-keyed
-  // (counts the eviction if it displaces a live different-key block). The
+  // The entry a rebuilt block for the key goes into, cleared and re-keyed:
+  // the key's own entry, a new one, or — at the bound — the next entry in
+  // first-fill order (counted as an eviction when that block was live). The
   // caller fills it via BuildSuperblock.
   Superblock* Claim(uint32_t vaddr, uint32_t paddr);
 
   void InvalidateAll();
 
   const Stats& stats() const { return stats_; }
-  uint32_t capacity() const { return static_cast<uint32_t>(slots_.size()); }
+  // The bound on resident blocks.
+  uint32_t capacity() const { return max_blocks_; }
 
  private:
-  size_t SlotIndex(uint32_t vaddr, uint32_t paddr) const;
+  static constexpr uint32_t kEmpty = ~0u;
 
-  std::vector<Superblock> slots_;
+  size_t Home(uint32_t vaddr, uint32_t paddr) const;
+  // The index_ position holding the key, or the empty position where it
+  // would go.
+  size_t Probe(uint32_t vaddr, uint32_t paddr) const;
+  void Unlink(size_t pos);
+  void Rehash(size_t index_size);
+
+  uint32_t max_blocks_;
+  std::deque<Superblock> blocks_;
+  std::vector<uint32_t> index_;  // Linear probing; kEmpty or a blocks_ index.
+  uint32_t index_shift_ = 0;     // 64 - log2(index_.size()).
+  uint32_t next_victim_ = 0;     // Next entry to recycle, once at the bound.
   Stats stats_;
 };
 

@@ -315,6 +315,125 @@ join:
   EXPECT_GT(t.cached->tcache_stats().evictions, 0u);
 }
 
+TEST(ExactBlockTable, BlocksEqualMod8KiBEachBuildOnce) {
+  // Kernel code at x and user-style code at 0x200000 + x agree in every low
+  // address bit, the pattern that made a direct-mapped table thrash. Under
+  // the exact table both stay resident: each of the seven entry points
+  // (start, loop, near, after near, far, after far, halt) builds once.
+  Twins t = MakeTwins(R"(
+    li r11, 200
+loop:
+    call near
+    call far
+    addi r11, r11, -1
+    bnez r11, loop
+    halt
+.org 0x1000
+near:
+    addi r10, r10, 3
+    ret
+.org 0x201000
+far:
+    xor r10, r10, r11
+    ret
+  )");
+  // One budget to HALT, so no slice cut adds a mid-block entry point.
+  for (Machine* m : {t.slow.get(), t.cached.get()}) {
+    ASSERT_EQ(static_cast<int>(m->Run(1000000).kind), static_cast<int>(ExitKind::kHalt));
+  }
+  EXPECT_EQ(Capture(*t.slow), Capture(*t.cached));
+  const TranslationCache::Stats& stats = t.cached->tcache_stats();
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.builds, 7u);
+  EXPECT_GT(stats.hits, 900u);
+}
+
+TEST(DispatchDiff, LockstepRemapFlushPrivilegeDropAndVmToggle) {
+  // The guest keeps loading through virtual page 4 while it remaps it: TLBI
+  // to frame 5 (kernel-only), TLBI to frame 6 (user), TLBF then a refill by
+  // the miss handler, an RFI drop to user mode that turns the kernel-only
+  // mapping into a protection fault, and an MTCR that switches VM off so the
+  // same address reads physical page 4. Every change must end any memoised
+  // translation; lockstep snapshots include the TLB counters.
+  const uint32_t miss = static_cast<uint32_t>(TrapCause::kTlbMissLoad);
+  const uint32_t prot = static_cast<uint32_t>(TrapCause::kProtectionFault);
+  const uint32_t sys = static_cast<uint32_t>(TrapCause::kSyscall);
+  Twins t = MakeTwins(R"(
+    la r1, handler
+    mtcr tvec, r1
+    li r2, 0x44
+    sw r2, 0x4000(zero)
+    li r2, 0x55
+    sw r2, 0x5000(zero)
+    li r2, 0x66
+    sw r2, 0x6000(zero)
+    li r2, 0
+wire_loop:
+    slli r3, r2, 12
+    ori r4, r3, 0x1F     ; V|W|X|U|WIRED
+    tlbi r3, r4
+    addi r2, r2, 1
+    li r5, 4
+    bltu r2, r5, wire_loop
+    li r20, 0
+    li r11, 30
+loop:
+    li r1, 0x80          ; VM on, privilege 0
+    mtcr status, r1
+    li r3, 0x4000
+    li r4, 0x5007        ; page 4 -> frame 5, V|W|X
+    tlbi r3, r4
+    lw r5, 0(r3)         ; 0x55
+    add r20, r20, r5
+    li r4, 0x600F        ; page 4 -> frame 6, V|W|X|U
+    tlbi r3, r4
+    lw r5, 0(r3)         ; 0x66
+    add r20, r20, r5
+    sw r20, 4(r3)
+    tlbf
+    lw r5, 0(r3)         ; miss; the handler maps frame 5, kernel-only
+    add r20, r20, r5
+    li r1, 0x98          ; VM | previous privilege 3
+    mtcr status, r1
+    la r2, user
+    mtcr epc, r2
+    rfi
+user:
+    lw r5, 0(r3)         ; protection fault; the handler adds U and retries
+    add r20, r20, r5
+    syscall
+kernel:
+    mtcr status, zero    ; VM off: 0x4000 is physical page 4
+    lw r5, 0(r3)         ; 0x44
+    add r20, r20, r5
+    addi r11, r11, -1
+    bnez r11, loop
+    halt
+handler:
+    mfcr r6, ecause
+    mfcr r8, evaddr
+    li r7, )" + std::to_string(miss) + R"(
+    beq r6, r7, on_miss
+    li r7, )" + std::to_string(prot) + R"(
+    beq r6, r7, on_prot
+    li r7, )" + std::to_string(sys) + R"(
+    beq r6, r7, kernel
+    halt
+on_miss:
+    li r9, 0x5007
+    tlbi r8, r9
+    rfi
+on_prot:
+    li r9, 0x500F
+    tlbi r8, r9
+    rfi
+  )");
+  RunLockstep(*t.slow, *t.cached, kSlices);
+  // Each of the 30 rounds loads 0x55 three times, 0x66 once and 0x44 once.
+  EXPECT_EQ(t.cached->cpu().gpr[20], 30u * (3 * 0x55 + 0x66 + 0x44));
+  EXPECT_GT(t.cached->tlb().misses(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot interaction: the cache is derived state, never serialised.
 // ---------------------------------------------------------------------------

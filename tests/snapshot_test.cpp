@@ -178,6 +178,43 @@ TEST(Snapshot, RestoreRejectsNonCanonicalFlagBytes) {
   EXPECT_FALSE(target.RestoreState(r, /*include_memory=*/true));
 }
 
+// A transferred TLB image with two valid slots for one VPN is one Insert can
+// never produce, and the hinted lookup assumes it cannot exist: restore
+// refuses it with false, and the same image with distinct VPNs is accepted.
+TEST(Snapshot, TlbRestoreRefusesDuplicateValidVpn) {
+  auto machine = BusyMachine();
+  Snapshot snap;
+  SnapshotWriter w(&snap);
+  machine->CaptureState(w, /*include_memory=*/true);
+
+  // Layout: CPU (204 bytes), TLB slot count (4 bytes), then 10-byte slots
+  // (valid, wired, vpn, pte). Slot 0 holds the wired mapping of VPN 3.
+  const size_t slot0 = 204 + 4;
+  const size_t slot1 = slot0 + 10;
+  ASSERT_EQ(snap.bytes[slot0], 1u);
+  ASSERT_EQ(snap.bytes[slot0 + 2], 3u);
+  ASSERT_EQ(snap.bytes[slot1], 0u);
+  auto with_slot1_vpn = [&](uint8_t vpn) {
+    Snapshot patched = snap;
+    patched.bytes[slot1] = 1;  // valid
+    patched.bytes[slot1 + 2] = vpn;
+    return patched;
+  };
+
+  Snapshot duplicate = with_slot1_vpn(3);
+  SnapshotReader bad(duplicate);
+  Machine refused(TinyConfig());
+  EXPECT_FALSE(refused.RestoreState(bad, /*include_memory=*/true));
+
+  Snapshot distinct = with_slot1_vpn(5);
+  SnapshotReader good(distinct);
+  Machine accepted(TinyConfig());
+  ASSERT_TRUE(accepted.RestoreState(good, /*include_memory=*/true));
+  EXPECT_TRUE(good.AtEnd());
+  EXPECT_EQ(accepted.tlb().Lookup(5), std::optional<uint32_t>(0));
+  EXPECT_EQ(accepted.tlb().Lookup(3), std::optional<uint32_t>(0x3013));
+}
+
 TEST(Snapshot, HeaderVersioningIsEnforced) {
   Snapshot snap;
   SnapshotWriter w(&snap);

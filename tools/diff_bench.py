@@ -7,16 +7,16 @@ either fix it or consciously re-baseline. fig6_throughput.json,
 fig7_fleet.json, and fig8_parallel.json mix deterministic simulated results
 (instruction counts, checksums, latency percentiles, availability,
 fingerprints) with host-dependent measurements (host_ms, mips, wall_ms,
-speedup, host_cpus) that vary run to run and machine to machine; those
-volatile keys are stripped before comparing. On top of the byte diff the
-regenerated artifacts must clear sanity checks: fig6's cached dispatch has
-to beat slow dispatch by a floor, fig7's rows must be internally coherent
-(availability <= 1.0, p50 <= p99 <= p999), and fig8's rows must carry
-identical deterministic results at every thread count — plus, when the
-regenerating machine actually has >= 4 CPUs, a >= 2x wall-clock speedup at
-4 threads on the large case (on fewer CPUs the floor is skipped with a loud
-warning, because parallel speedup is unmeasurable there, but the
-determinism identity is enforced everywhere).
+speedup, parallelism, host_cpus) that vary run to run and machine to
+machine; those volatile keys are stripped before comparing. On top of the
+byte diff the regenerated artifacts must clear sanity checks: fig6's cached
+dispatch has to beat slow dispatch by a floor, fig7's rows must be
+internally coherent (availability <= 1.0, p50 <= p99 <= p999), and fig8's
+rows must carry identical deterministic results at every thread count —
+plus, when the regenerating machine actually has >= 4 CPUs, a >= 2x
+wall-clock speedup at 4 threads on the large case (on fewer CPUs the floor
+is skipped with a loud warning, because parallel speedup is unmeasurable
+there, but the determinism identity is enforced everywhere).
 
 usage: diff_bench.py <baseline_dir> <regenerated_dir>
                      [--speedup-floor=X] [--only=NAME]
@@ -31,7 +31,7 @@ import json
 import sys
 from pathlib import Path
 
-VOLATILE_KEYS = {"host_ms", "mips", "wall_ms", "speedup", "host_cpus"}
+VOLATILE_KEYS = {"host_ms", "mips", "wall_ms", "speedup", "parallelism", "host_cpus"}
 DEFAULT_SPEEDUP_FLOOR = 2.0
 
 # Artifacts that carry host-dependent fields and get the strip-then-diff
